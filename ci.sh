@@ -46,8 +46,8 @@ echo "== go test -race (concurrency-sensitive packages) =="
 # per-worker workspaces with arenas and persistent RNGs under -race.
 go test -race -short repro/internal/experiments repro/internal/obs repro/internal/partition repro/internal/admit
 
-echo "== alloc guards (hot paths must stay zero-allocation) =="
-go test -run AllocGuard repro/internal/rta repro/internal/split repro/internal/partition repro/internal/gen
+echo "== alloc guards (hot paths must stay zero-allocation; rejection evidence stays O(1) in M) =="
+go test -run AllocGuard repro/internal/rta repro/internal/split repro/internal/partition repro/internal/gen repro/internal/admit
 
 echo "== fault injection (every injected fault must surface as a seed-reproducible SampleError) =="
 go test repro/internal/faultinject

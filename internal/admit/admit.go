@@ -12,20 +12,19 @@
 // is single-writer by design); per-tenant statistics are plain atomics,
 // readable lock-free while admissions are in flight.
 //
-// Rejection caching: admission is deterministic in (cluster state,
-// candidate), so each cluster memoizes rejected verdicts under an exact
-// canonical byte key of every resident plus the candidate — no hashing in
-// the key, hence no collision unsoundness. Only rejections are cached:
-// they are the expensive repeated case under churn (retry storms re-ask
-// the same question against the same state), while an acceptance mutates
-// the state and so can never repeat. Any successful admit or remove
-// changes the canonical state and thereby orphans stale entries; the map
-// is cleared wholesale when it outgrows its cap.
+// Rejections are recomputed on every request; nothing is memoized. A memo
+// keyed on the canonical cluster state can only answer a question asked
+// against a byte-identical state, and on both realistic benchmark
+// workloads (light churn, saturated M=32 clusters) its hit ratio was 0
+// while it serialized every resident on every admit and held rejected
+// evidence in memory. An analyzed rejection instead builds its
+// per-processor evidence (internal/explain) in one pass over reused
+// buffers: the cost is a handful of allocations, independent of M and of
+// the residency.
 package admit
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -47,7 +46,6 @@ var (
 	cAccepted        = obs.NewCounter("admit.accepted")
 	cRejected        = obs.NewCounter("admit.rejected")
 	cRemoved         = obs.NewCounter("admit.removed")
-	cCacheHits       = obs.NewCounter("admit.cache_hits")
 	cClustersCreated = obs.NewCounter("admit.clusters_created")
 	cClustersDeleted = obs.NewCounter("admit.clusters_deleted")
 )
@@ -56,8 +54,7 @@ var (
 // (admit.reject.<cause>). The map is built once at init over the closed
 // cause taxonomy and keyed by the interned String() values the rejection
 // path already produces, so attributing a rejection is one map lookup — no
-// registry mutex, no allocation — and the memo cache can attribute its hits
-// from the cached Result's Cause string.
+// registry mutex, no allocation.
 var cRejectByCause = func() map[string]*obs.Counter {
 	m := make(map[string]*obs.Counter)
 	for _, c := range partition.RejectionCauses() {
@@ -67,19 +64,13 @@ var cRejectByCause = func() map[string]*obs.Counter {
 }()
 
 // countRejection attributes one rejection to its cause counter. Unknown
-// cause strings (impossible through the engine, conceivable through a
-// hand-built cached Result in tests) simply go unattributed — the aggregate
-// cRejected already counted them.
+// cause strings (impossible through the engine) simply go unattributed —
+// the aggregate cRejected already counted them.
 func countRejection(cause string) {
 	if c, ok := cRejectByCause[cause]; ok {
 		c.Inc()
 	}
 }
-
-// defaultCacheCap bounds each cluster's rejection cache; outgrowing it
-// clears the map (the entries are all orphaned by state drift eventually,
-// and wholesale clearing keeps the policy deterministic).
-const defaultCacheCap = 1024
 
 // ErrExists is returned by Create when the cluster name is already taken.
 var ErrExists = errors.New("admit: cluster name already taken")
@@ -142,7 +133,7 @@ func (s *Service) Create(ctx context.Context, name string, m int, policy string,
 	if err != nil {
 		return nil, err
 	}
-	c := &Cluster{name: name, eng: eng, cacheCap: defaultCacheCap}
+	c := &Cluster{name: name, eng: eng}
 	idx := s.shardIndex(name)
 	sh := &s.shards[idx]
 	var jr *shardJournal
@@ -240,24 +231,22 @@ func (s *Service) Names() []string {
 // Stats is a cluster's per-tenant operation counters. All fields are
 // written with atomics and may be read lock-free via StatsSnapshot.
 type Stats struct {
-	Requests  atomic.Int64
-	Accepted  atomic.Int64
-	Rejected  atomic.Int64
-	Removed   atomic.Int64
-	CacheHits atomic.Int64
+	Requests atomic.Int64
+	Accepted atomic.Int64
+	Rejected atomic.Int64
+	Removed  atomic.Int64
 }
 
 // StatsSnapshot is a point-in-time copy of a cluster's Stats.
 type StatsSnapshot struct {
-	Requests  int64 `json:"requests"`
-	Accepted  int64 `json:"accepted"`
-	Rejected  int64 `json:"rejected"`
-	Removed   int64 `json:"removed"`
-	CacheHits int64 `json:"cacheHits"`
+	Requests int64 `json:"requests"`
+	Accepted int64 `json:"accepted"`
+	Rejected int64 `json:"rejected"`
+	Removed  int64 `json:"removed"`
 }
 
-// Cluster is one tenant's virtual cluster: the engine, its rejection
-// cache, and the tenant's stats.
+// Cluster is one tenant's virtual cluster: the engine and the tenant's
+// stats.
 type Cluster struct {
 	name  string
 	stats Stats
@@ -267,12 +256,10 @@ type Cluster struct {
 	j  *Journal
 	jr *shardJournal
 
-	mu       sync.Mutex // serializes eng, cache, keyBuf and deleted
-	eng      *partition.Online
-	cache    map[string]Result
-	cacheCap int
-	keyBuf   []byte
-	deleted  bool // set by Service.Delete; mutations through stale handles fail
+	mu      sync.Mutex // serializes eng, resBuf and deleted
+	eng     *partition.Online
+	resBuf  []task.Subtask // evidence's reused per-processor resident view
+	deleted bool           // set by Service.Delete; mutations through stale handles fail
 }
 
 // Name returns the cluster's registered name.
@@ -282,11 +269,10 @@ func (c *Cluster) Name() string { return c.name }
 // lock.
 func (c *Cluster) StatsSnapshot() StatsSnapshot {
 	return StatsSnapshot{
-		Requests:  c.stats.Requests.Load(),
-		Accepted:  c.stats.Accepted.Load(),
-		Rejected:  c.stats.Rejected.Load(),
-		Removed:   c.stats.Removed.Load(),
-		CacheHits: c.stats.CacheHits.Load(),
+		Requests: c.stats.Requests.Load(),
+		Accepted: c.stats.Accepted.Load(),
+		Rejected: c.stats.Rejected.Load(),
+		Removed:  c.stats.Removed.Load(),
 	}
 }
 
@@ -314,10 +300,6 @@ type Result struct {
 	CauseDetail string         `json:"causeDetail,omitempty"`
 	Reason      string         `json:"reason,omitempty"`
 	Evidence    []ProcEvidence `json:"evidence,omitempty"`
-
-	// CacheHit reports that a memoized rejection answered the request. It
-	// is the only field allowed to differ from the uncached computation.
-	CacheHit bool `json:"cacheHit,omitempty"`
 }
 
 // Admit runs one admission attempt against the cluster. The context's
@@ -348,20 +330,6 @@ func (c *Cluster) Admit(ctx context.Context, t task.Task) (Result, error) {
 		}
 	}
 
-	var key []byte
-	if c.cacheCap > 0 {
-		key = c.canonicalKey(t)
-		if res, ok := c.cache[string(key)]; ok {
-			cCacheHits.Inc()
-			cRejected.Inc()
-			countRejection(res.Cause)
-			c.stats.CacheHits.Add(1)
-			c.stats.Rejected.Add(1)
-			res.CacheHit = true
-			return res, nil
-		}
-	}
-
 	pl, err := c.eng.Admit(t)
 	if err == nil {
 		if c.jr != nil {
@@ -388,23 +356,13 @@ func (c *Cluster) Admit(ctx context.Context, t task.Task) (Result, error) {
 	cRejected.Inc()
 	countRejection(rej.Cause.String())
 	c.stats.Rejected.Add(1)
-	res := Result{
+	return Result{
 		Proc:        -1,
 		Cause:       rej.Cause.String(),
 		CauseDetail: rej.Cause.Describe(),
 		Reason:      rej.Reason,
 		Evidence:    c.evidence(rej.Cause, t),
-	}
-	if c.cacheCap > 0 {
-		if len(c.cache) >= c.cacheCap {
-			clear(c.cache)
-		}
-		if c.cache == nil {
-			c.cache = make(map[string]Result)
-		}
-		c.cache[string(key)] = res
-	}
-	return res, nil
+	}, nil
 }
 
 // Remove releases a previously admitted task, reporting whether the handle
@@ -458,7 +416,6 @@ func (c *Cluster) restoreStats(st StatsSnapshot) {
 	c.stats.Accepted.Store(st.Accepted)
 	c.stats.Rejected.Store(st.Rejected)
 	c.stats.Removed.Store(st.Removed)
-	c.stats.CacheHits.Store(st.CacheHits)
 }
 
 // appendCanonical appends the cluster's canonical engine state (see
@@ -486,31 +443,11 @@ func (s *Service) CanonicalState() []byte {
 	return b
 }
 
-// canonicalKey serializes the full admission question — every resident of
-// every processor (surcharge and policy are cluster constants) plus the
-// candidate — into the reused key buffer. Byte-exact equality of keys is
-// byte-exact equality of questions.
-func (c *Cluster) canonicalKey(t task.Task) []byte {
-	b := c.keyBuf[:0]
-	for q := 0; q < c.eng.M(); q++ {
-		for _, sub := range c.eng.Residents(q) {
-			b = binary.AppendVarint(b, sub.C)
-			b = binary.AppendVarint(b, sub.T)
-			b = binary.AppendVarint(b, sub.Deadline)
-		}
-		b = append(b, 0xFF) // processor boundary
-	}
-	b = binary.AppendVarint(b, t.C)
-	b = binary.AppendVarint(b, t.T)
-	b = binary.AppendVarint(b, t.D)
-	b = append(b, t.Name...)
-	c.keyBuf = b
-	return b
-}
-
 // evidence assembles the per-processor rejection probes for analyzed
 // rejections; input-shaped causes (invalid input, surcharge infeasibility,
-// model mismatch) get none — no processor was consulted.
+// model mismatch) get none — no processor was consulted. Residents are read
+// into the cluster's reused buffer, and the M probe records and their
+// blocked residents are allocated as one slab each.
 func (c *Cluster) evidence(cause partition.Cause, t task.Task) []ProcEvidence {
 	switch cause {
 	case partition.CauseThresholdExhausted, partition.CauseRTADeadlineMiss:
@@ -520,23 +457,33 @@ func (c *Cluster) evidence(cause partition.Cause, t task.Task) []ProcEvidence {
 	s := c.eng.Surcharge()
 	d := t.Deadline()
 	prio := int(d)
-	out := make([]ProcEvidence, c.eng.M())
+	m := c.eng.M()
+	out := make([]ProcEvidence, m)
+	details := make([]explain.ProcEvidence, m)
+	var blocked []explain.BlockedResident
+	if cause == partition.CauseRTADeadlineMiss {
+		blocked = make([]explain.BlockedResident, m)
+	}
 	for q := range out {
-		res := c.eng.Residents(q)
-		pe := ProcEvidence{Proc: q, Utilization: c.eng.Utilization(q), Residents: len(res)}
+		res := c.eng.ResidentsInto(q, c.resBuf)
+		c.resBuf = res
 		if cause == partition.CauseThresholdExhausted {
 			u := 0.0
 			for _, sub := range res {
 				u += float64(sub.C+s) / float64(sub.T)
 			}
-			pe.Detail = explain.ProbeThreshold(u, bounds.LL(len(res)+1))
+			details[q] = explain.ProbeThreshold(u, bounds.LL(len(res)+1))
 		} else {
 			for i := range res {
 				res[i].C += s
 			}
-			pe.Detail = explain.ProbeRTA(res, prio, t.C+s, t.T, d, false)
+			var broken bool
+			details[q], blocked[q], broken = explain.ProbeRTA(res, prio, t.C+s, t.T, d, false)
+			if broken {
+				details[q].Blocked = &blocked[q]
+			}
 		}
-		out[q] = pe
+		out[q] = ProcEvidence{Proc: q, Utilization: c.eng.Utilization(q), Residents: len(res), Detail: &details[q]}
 	}
 	return out
 }

@@ -38,11 +38,11 @@ import (
 //     never visible — canonically, it never happened.
 //
 // Rejections are deliberately not journaled: they do not mutate state, and
-// under retry storms they are the overwhelmingly common case (the memo
-// cache exists for the same reason). The cost is that the volatile traffic
-// counters (requests, rejected, cacheHits) recovered after a crash only
-// reflect the last snapshot plus replayed acceptances; the durable
-// counters (accepted, removed) and the entire engine state are exact.
+// under retry storms they are the overwhelmingly common case. The cost is
+// that the volatile traffic counters (requests, rejected) recovered after a
+// crash only reflect the last snapshot plus replayed acceptances; the
+// durable counters (accepted, removed) and the entire engine state are
+// exact.
 //
 // Lock order (outermost first): shardJournal.freeze → Service shard map →
 // Cluster.mu → shardJournal.mu. Mutating ops hold freeze as readers for

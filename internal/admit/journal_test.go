@@ -3,10 +3,12 @@ package admit
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -132,7 +134,6 @@ func (ch *churner) step(op int) {
 		if merr != nil {
 			t.Fatalf("op %d: mirror admit: %v", op, merr)
 		}
-		dres.CacheHit, mres.CacheHit = false, false
 		if !reflect.DeepEqual(dres, mres) {
 			t.Fatalf("op %d: admit verdicts diverged:\ndurable %+v\nmirror  %+v", op, dres, mres)
 		}
@@ -527,6 +528,56 @@ func TestSnapshotNow(t *testing.T) {
 		t.Errorf("Replayed = %d after SnapshotNow, want 0", rs.Replayed)
 	}
 	canonEqual(t, recovered, mirror, "post-snapshot crash")
+}
+
+// TestRecoverSnapshotWithCacheHits keeps snapshots written while clusters
+// memoized rejections readable: their per-cluster stats carry a
+// "cacheHits" counter, which recovery must ignore (same schema version)
+// while restoring a digest-identical canonical state and the other
+// counters.
+func TestRecoverSnapshotWithCacheHits(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string]string{
+		"meta.json": `{"version":1,"shards":1}`,
+		"shard-000.snap": `{"version":1,"shard":0,"seq":3,"clusters":[{"name":"legacy","m":2,` +
+			`"policy":"rta-ff","surcharge":0,"nextHandle":3,` +
+			`"stats":{"requests":9,"accepted":3,"rejected":6,"removed":0,"cacheHits":4},` +
+			`"residents":[{"h":1,"p":0,"c":6,"t":10,"d":10},{"h":2,"p":1,"c":5,"t":10,"d":10},` +
+			`{"h":3,"p":0,"c":2,"t":20,"d":15}]}]}`,
+	}
+	for name, body := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recovered := NewService(1)
+	if _, err := recovered.AttachJournal(JournalConfig{Dir: dir, SnapshotEvery: -1}); err != nil {
+		t.Fatalf("recovery refused a snapshot carrying cacheHits: %v", err)
+	}
+	defer recovered.Close()
+
+	// The same three admissions on a fresh cluster land where the snapshot
+	// recorded them.
+	mirror := NewService(1)
+	c, err := mirror.Create(context.Background(), "legacy", 2, partition.OnlineRTAFirstFit, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tk := range []task.Task{{C: 6, T: 10}, {C: 5, T: 10}, {C: 2, T: 20, D: 15}} {
+		if res := admitNow(t, c, tk); !res.Accepted {
+			t.Fatalf("mirror rejected %v: %+v", tk, res)
+		}
+	}
+	if got, want := sha256.Sum256(recovered.CanonicalState()), sha256.Sum256(mirror.CanonicalState()); got != want {
+		t.Fatalf("recovered canonical digest %x, want %x", got, want)
+	}
+	rc, ok := recovered.Get("legacy")
+	if !ok {
+		t.Fatal("snapshot cluster not recovered")
+	}
+	if got, want := rc.StatsSnapshot(), (StatsSnapshot{Requests: 9, Accepted: 3, Rejected: 6}); got != want {
+		t.Errorf("recovered stats %+v, want %+v", got, want)
+	}
 }
 
 // FuzzJournalReplay is the randomized end-to-end equivalence check: any

@@ -153,8 +153,8 @@ type TraceConfig struct {
 func (s *Service) SetTracing(cfg TraceConfig) { s.trace = cfg }
 
 // httpLatencyBounds is the route-latency bucket layout in microseconds:
-// 25µs–1s, covering the warm cache-hit admit (tens of µs) through a gate
-// queue wait at the default 1s deadline.
+// 25µs–1s, covering a light acceptance (tens of µs) through a gate queue
+// wait at the default 1s deadline.
 var httpLatencyBounds = []int64{
 	25, 50, 100, 250, 500,
 	1000, 2500, 5000, 10000, 25000,

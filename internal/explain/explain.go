@@ -379,20 +379,30 @@ func probe(alg partition.Algorithm, list []task.Subtask, u float64, prio int, fr
 		threshold = true
 	}
 	if threshold {
-		return ProbeThreshold(u, bounds.LL(n))
+		ev := ProbeThreshold(u, bounds.LL(n))
+		return &ev
 	}
 	if !rtaBased {
 		return &ProcEvidence{}
 	}
-	return ProbeRTA(list, prio, frag.RemC, frag.T, frag.Deadline, splitting)
+	ev, blocked, broken := ProbeRTA(list, prio, frag.RemC, frag.T, frag.Deadline, splitting)
+	if broken {
+		ev.Blocked = &blocked
+	}
+	return &ev
 }
 
 // ProbeThreshold builds the evidence of a utilization-threshold admission:
 // the room theta − u left on a processor with utilization u. Negative room
 // is exactly why the threshold said no.
-func ProbeThreshold(u, theta float64) *ProcEvidence {
-	return &ProcEvidence{ThresholdRoom: theta - u, HasThreshold: true}
+func ProbeThreshold(u, theta float64) ProcEvidence {
+	return ProcEvidence{ThresholdRoom: theta - u, HasThreshold: true}
 }
+
+// probeMirrorStack is how many residents ProbeRTA mirrors in its own stack
+// frame; only a processor with more residents costs the probe one
+// allocation.
+const probeMirrorStack = 64
 
 // ProbeRTA recomputes the exact-RTA admission of a load (c, t, d) with
 // priority key prio on one processor's priority-sorted resident list: the
@@ -402,35 +412,35 @@ func ProbeThreshold(u, theta float64) *ProcEvidence {
 // list must carry any analysis surcharge already (the batch explain path
 // passes assignment lists, which are raw because their surcharge is zero;
 // the admission service passes its surcharged resident view).
-func ProbeRTA(list []task.Subtask, prio int, c, t, d task.Time, withMaxPortion bool) *ProcEvidence {
-	ev := &ProcEvidence{}
-	// Position the load at its priority among the residents; hp is every
-	// resident that outranks it.
+//
+// The record comes back by value with Blocked unset; the breaking resident,
+// if any (broken reports whether one does), comes back beside it, so a
+// caller probing every processor keeps records and residents in one slab
+// each and links them (ev.Blocked = &slot). The interference mirror is
+// built once and every resident's higher-priority set is a prefix of it.
+func ProbeRTA(list []task.Subtask, prio int, c, t, d task.Time, withMaxPortion bool) (ev ProcEvidence, blocked BlockedResident, broken bool) {
+	var stack [probeMirrorStack]rta.Interference
+	mirror := rta.MirrorInto(list, stack[:0])
+	// Position the load at its priority among the residents; mirror[:pos]
+	// is every resident that outranks it.
 	pos := 0
 	for pos < len(list) && list[pos].TaskIndex <= prio {
 		pos++
 	}
-	hp := make([]rta.Interference, pos)
-	for j := 0; j < pos; j++ {
-		hp[j] = rta.Interference{C: list[j].C, T: list[j].T}
-	}
-	r, v := rta.ResponseTimeVerdict(c, hp, d)
+	r, v := rta.ResponseTimeVerdict(c, mirror[:pos], d)
 	ev.OwnResponse = r
 	ev.OwnVerdict = v.String()
 	// First resident below the load whose deadline breaks once it
 	// interferes.
 	for i := pos; i < len(list); i++ {
-		ihp := make([]rta.Interference, i)
-		for j := 0; j < i; j++ {
-			ihp[j] = rta.Interference{C: list[j].C, T: list[j].T}
-		}
-		rr, rv := rta.ResponseTimeExtraVerdict(list[i].C, ihp, c, t, list[i].Deadline)
+		rr, rv := rta.ResponseTimeExtraVerdict(list[i].C, mirror[:i], c, t, list[i].Deadline)
 		if rv != rta.VerdictFits {
-			ev.Blocked = &BlockedResident{
+			blocked = BlockedResident{
 				Task: list[i].TaskIndex, Part: list[i].Part,
 				C: list[i].C, Deadline: list[i].Deadline,
 				Response: rr, Verdict: rv.String(),
 			}
+			broken = true
 			break
 		}
 	}
@@ -438,7 +448,7 @@ func ProbeRTA(list []task.Subtask, prio int, c, t, d task.Time, withMaxPortion b
 		ev.MaxPortion = split.MaxPortionAt(list, prio, t, c, d)
 		ev.HasMaxPortion = true
 	}
-	return ev
+	return ev, blocked, broken
 }
 
 // AlgorithmByName constructs the named algorithm (same vocabulary as

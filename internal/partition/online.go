@@ -145,13 +145,20 @@ func (o *Online) surchargedUtil(q int) float64 {
 }
 
 // Residents returns a copy of processor q's resident subtasks in priority
-// order (raw C), for status reporting and rejection evidence.
+// order (raw C).
 func (o *Online) Residents(q int) []task.Subtask {
-	out := make([]task.Subtask, len(o.procs[q]))
-	for i, r := range o.procs[q] {
-		out[i] = r.sub
+	return o.ResidentsInto(q, make([]task.Subtask, 0, len(o.procs[q])))
+}
+
+// ResidentsInto is Residents written into buf, which grows only when its
+// capacity is short; the result aliases buf, so a caller reading every
+// processor in turn (rejection evidence) reuses one buffer.
+func (o *Online) ResidentsInto(q int, buf []task.Subtask) []task.Subtask {
+	buf = buf[:0]
+	for _, r := range o.procs[q] {
+		buf = append(buf, r.sub)
 	}
-	return out
+	return buf
 }
 
 // Admit attempts to place t whole on some processor under the cluster's
