@@ -47,6 +47,7 @@ func TestBenchHotpathJSON(t *testing.T) {
 		fn   func(*testing.B)
 	}{
 		{"E2AcceptanceGeneral", BenchmarkE2AcceptanceGeneral},
+		{"E6Breakdown", BenchmarkE6Breakdown},
 		{"RTAProcessor", BenchmarkRTAProcessor},
 		{"BatchRTAKernel", BenchmarkBatchRTAKernel},
 		{"MaxSplitTestingPoint", BenchmarkMaxSplitTestingPoint},

@@ -52,6 +52,7 @@ func benchExperiment(b *testing.B, key string) {
 	b.ReportMetric(perOp("rta.cache.warm_starts"), "warm-starts/op")
 	b.ReportMetric(perOp("partition.splits"), "splits/op")
 	b.ReportMetric(perOp("partition.prefilter.hits"), "prefilter-hits/op")
+	b.ReportMetric(perOp("partition.overload.skips"), "overload-skips/op")
 }
 
 func BenchmarkE1BoundsTable(b *testing.B)        { benchExperiment(b, "bounds-table") }

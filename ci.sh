@@ -5,7 +5,8 @@
 # warm-start toggle are shared atomics), a one-iteration bench smoke so
 # every benchmark keeps compiling and running, a fault-injection pass over
 # the hardened pipeline (DESIGN.md §9), short fuzz smokes for the invariant
-# checker, the task-set parser and the warm-state removal invalidation, a
+# checker, the task-set parser, the warm-state removal invalidation and the
+# U > 1 overload pruning (DESIGN.md §13), a
 # -paranoid quick table that re-validates every partitioning the harness
 # produces, a telemetry smoke that schema-lints a run-event log (including
 # the v2 rejection-cause breakdown), an explain-replay golden (a fixed
@@ -53,11 +54,12 @@ echo "== fault injection (every injected fault must surface as a seed-reproducib
 go test repro/internal/faultinject
 go test -count=1 -run 'TestInjected|TestCheckpointWriteFailure|TestKillAndResume|TestMidSweepCancellation' repro/internal/experiments
 
-echo "== fuzz smokes (invariant checker, task-set parser round trip, removal invalidation, batch-vs-scalar RTA) =="
+echo "== fuzz smokes (invariant checker, task-set parser round trip, removal invalidation, batch-vs-scalar RTA, overload pruning) =="
 go test -run '^$' -fuzz FuzzValidate -fuzztime 5s repro/internal/partition
 go test -run '^$' -fuzz FuzzParseRoundTrip -fuzztime 5s repro/internal/taskio
 go test -run '^$' -fuzz FuzzProcStateRemove -fuzztime 5s repro/internal/rta
 go test -run '^$' -fuzz FuzzBatchVsScalarRTA -fuzztime 5s repro/internal/rta
+go test -run '^$' -fuzz FuzzOverloadedImpliesReject -fuzztime 5s repro/internal/rta
 go test -run '^$' -fuzz FuzzJournalReplay -fuzztime 5s repro/internal/admit
 
 echo "== prefilter / cross-scale equivalence (tables must be byte-identical with the fast paths off) =="

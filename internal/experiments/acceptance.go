@@ -216,22 +216,24 @@ func AcceptanceKChains(cfg Config) ([]Table, error) {
 		// which every point was restored and no generator ran.
 		rows, err := cfg.sweepRows(id, len(points), func(pc Config, i int) ([]float64, error) {
 			target := points[i] * float64(m)
-			var boundVal float64
-			row, err := pc.acceptance(bases[i], cfg.setsPerPoint(), m, func(r *rand.Rand, sc *gen.Scratch) (task.Set, error) {
-				ts, err := gen.HarmonicSetInto(r, gen.HarmonicConfig{
+			genSet := func(r *rand.Rand, sc *gen.Scratch) (task.Set, error) {
+				return gen.HarmonicSetInto(r, gen.HarmonicConfig{
 					TargetU: target, UMin: 0.05, UMax: 0.40, Chains: k,
 				}, sc)
-				if err != nil {
-					return nil, err
-				}
-				boundVal = bounds.EffectiveRMTS(bounds.HarmonicChain{Minimal: true}, ts)
-				return ts, nil
-			}, algos)
+			}
+			n := cfg.setsPerPoint()
+			row, err := pc.acceptance(bases[i], n, m, genSet, algos)
+			if err != nil {
+				return nil, err
+			}
+			// The bound is that of the point's last sample, regenerated from
+			// its seed, so it does not depend on which worker ran last.
+			last, err := genSet(rand.New(xrand.New(bases[i]+int64(n-1)*sampleSeedStride)), new(gen.Scratch))
 			if err != nil {
 				return nil, err
 			}
 			mt.Tick("U_M=%.3f", points[i])
-			return append(row, boundVal), nil
+			return append(row, bounds.EffectiveRMTS(bounds.HarmonicChain{Minimal: true}, last)), nil
 		})
 		ratios := make([][]float64, len(rows))
 		var boundVal float64

@@ -34,6 +34,7 @@ import (
 type Arena struct {
 	sorted   task.Set
 	asg      task.Assignment
+	util     []float64 // per-processor utilization of asg, kept by add
 	states   []rta.ProcState
 	res      Result
 	full     []bool
@@ -42,7 +43,6 @@ type Arena struct {
 	suffix   []float64
 	idxs     []int
 	order    []int
-	utils    []float64
 	keys     []float64
 	preProcs []int
 	bsc      bounds.Scratch
@@ -90,11 +90,24 @@ func (ar *Arena) prepare(ts task.Set, m int) (task.Set, *task.Assignment, *Resul
 	ar.sorted = sorted
 	sorted.SortDM() // identical to RM order for implicit-deadline sets
 	ar.asg.Reset(sorted, m)
+	floatBuf(&ar.util, m)
 	if err := sorted.Validate(); err != nil {
 		ar.res = Result{Assignment: &ar.asg}
 		return nil, nil, failWith(&ar.res, CauseInvalidInput, -1, err.Error())
 	}
 	return sorted, &ar.asg, nil
+}
+
+// add places subtask s on processor q of the arena's assignment. Every
+// placement in this package goes through it, so ar.util[q] always equals
+// asg.Utilization(q): the packers' min-utilization and worst-fit choices
+// read per-processor utilization in O(1) instead of re-summing every
+// resident. Only the processor that changed is re-summed, in priority
+// order, which keeps the cached value bit-identical to a fresh sum (an
+// incremental += would drift by rounding and could flip a utilization tie).
+func (ar *Arena) add(q int, s task.Subtask) {
+	ar.asg.Add(q, s)
+	ar.util[q] = ar.asg.Utilization(q)
 }
 
 // result resets and returns the arena's Result, pointing at its assignment.

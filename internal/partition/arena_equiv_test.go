@@ -40,6 +40,14 @@ func TestArenaEquivalence(t *testing.T) {
 				t.Fatalf("trial %d: %s diverged between fresh and arena-backed runs on %v (m=%d)\n--- fresh ---\n%s--- arena ---\n%s",
 					trial, alg.Name(), ts, m, fresh, reused)
 			}
+			// The packers read the arena's utilization cache; it must be
+			// bit-identical to a fresh in-order sum of every processor.
+			for q := range ar.asg.Procs {
+				if got, want := ar.util[q], ar.asg.Utilization(q); got != want {
+					t.Fatalf("trial %d: %s: cached utilization of processor %d is %v, fresh sum %v",
+						trial, alg.Name(), q, got, want)
+				}
+			}
 		}
 	}
 }

@@ -100,15 +100,12 @@ func pickFirstFit(ar *Arena, asg *task.Assignment) []int {
 }
 
 // pickWorstFit returns candidate processors sorted by ascending assigned
-// utilization (ties by index). Utilizations are computed once per call and
-// sorted with a stable insertion sort — the same permutation the former
+// utilization (ties by index), read from the arena's per-processor cache
+// and sorted with a stable insertion sort — the same permutation the former
 // sort.SliceStable produced.
 func pickWorstFit(ar *Arena, asg *task.Assignment) []int {
 	out := pickFirstFit(ar, asg)
-	utils := floatBuf(&ar.utils, len(out))
-	for q := range utils {
-		utils[q] = asg.Utilization(q)
-	}
+	utils := ar.util
 	for i := 1; i < len(out); i++ {
 		q := out[i]
 		u := utils[q]
@@ -247,13 +244,12 @@ func fitPartitionAdmit(ts task.Set, m int, order FitOrder, pick func(*Arena, *ta
 			abortsBefore := traceAborts(tr)
 			var ok, pre bool
 			if admit == AdmitRTA {
-				pre = prefilterAdmit(&states[q], i, t.C, t.Deadline())
-				ok = pre || states[q].AdmitAt(i, t.C, t.T, t.Deadline())
+				ok, pre = probeRTA(&states[q], i, t.C, t.T, t.Deadline())
 			} else {
 				ok = admit.admits(asg.Procs[q], i, t.C, t.T, t.Deadline())
 			}
 			if ok {
-				asg.Add(q, task.Whole(i, t))
+				ar.add(q, task.Whole(i, t))
 				states[q].Insert(task.Whole(i, t))
 				cAssignWhole.Inc()
 				if tr != nil {

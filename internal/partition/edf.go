@@ -81,8 +81,8 @@ func edfFit(ts task.Set, m int, order FitOrder, pick func(*Arena, *task.Assignme
 		u := t.Utilization()
 		placed := false
 		for _, q := range pick(ar, asg) {
-			if asg.Utilization(q)+u <= 1+utilEps {
-				asg.Add(q, task.Whole(i, t))
+			if ar.util[q]+u <= 1+utilEps {
+				ar.add(q, task.Whole(i, t))
 				placed = true
 				break
 			}

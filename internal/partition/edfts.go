@@ -68,7 +68,7 @@ func (a EDFTS) PartitionArena(ts task.Set, m int, ar *Arena) *Result {
 			scratch = append(scratch, edfa.Demand{C: t.C, T: t.T, D: d})
 			ar.scratch = scratch
 			if edfa.Schedulable(scratch) {
-				edfAdd(asg, demands, q, task.Whole(i, t))
+				edfAdd(ar, demands, q, task.Whole(i, t))
 				cAssignWhole.Inc()
 				if tr != nil {
 					tr.Add(obs.Event{Kind: obs.EvAssigned, Task: i, Part: 1, Proc: q,
@@ -103,8 +103,8 @@ func (a EDFTS) PartitionArena(ts task.Set, m int, ar *Arena) *Result {
 
 // edfAdd commits a fragment to both the assignment and the incremental
 // demand mirror.
-func edfAdd(asg *task.Assignment, demands [][]edfa.Demand, q int, s task.Subtask) {
-	asg.Add(q, s)
+func edfAdd(ar *Arena, demands [][]edfa.Demand, q int, s task.Subtask) {
+	ar.add(q, s)
 	demands[q] = append(demands[q], edfa.Demand{C: s.C, T: s.T, D: s.Deadline})
 }
 
@@ -155,7 +155,7 @@ func splitByWindows(ar *Arena, asg *task.Assignment, demands [][]edfa.Demand, i 
 				c = remaining
 			}
 			offset := base + task.Time(part-1)*w
-			edfAdd(asg, demands, caps[part-1].q, task.Subtask{
+			edfAdd(ar, demands, caps[part-1].q, task.Subtask{
 				TaskIndex: i, Part: part, C: c, T: t.T,
 				Deadline: w, Offset: offset, Tail: part == use || remaining == c,
 			})

@@ -34,11 +34,11 @@ type Online struct {
 
 	states []rta.ProcState
 	procs  [][]onlineResident // shadows states' priority positions exactly
+	util   []float64          // per-processor raw utilization, see Utilization
 	loc    map[uint64]int     // handle → hosting processor
 	nextH  uint64
 
-	order []int     // worst-fit candidate order scratch
-	utils []float64 // worst-fit utilization scratch
+	order []int // worst-fit candidate order scratch
 }
 
 // Online placement policies. The RTA policies admit with the exact test
@@ -105,6 +105,7 @@ func NewOnline(m int, policy string, surcharge task.Time) (*Online, error) {
 		surcharge: surcharge,
 		states:    rta.NewProcStates(m, surcharge),
 		procs:     make([][]onlineResident, m),
+		util:      make([]float64, m),
 		loc:       make(map[uint64]int),
 	}, nil
 }
@@ -125,23 +126,18 @@ func (o *Online) Len() int { return len(o.loc) }
 func (o *Online) ProcLen(q int) int { return len(o.procs[q]) }
 
 // Utilization returns processor q's assigned raw utilization (no
-// surcharge), summed in priority order for determinism.
-func (o *Online) Utilization(q int) float64 {
+// surcharge). It is cached: every install and Remove re-sums the changed
+// processor in priority order, so reads are O(1) and bit-identical to a
+// fresh sum (the status and rejection-evidence bytes print it).
+func (o *Online) Utilization(q int) float64 { return o.util[q] }
+
+// resum recomputes processor q's cached raw utilization after a mutation.
+func (o *Online) resum(q int) {
 	u := 0.0
 	for _, r := range o.procs[q] {
 		u += r.sub.Utilization()
 	}
-	return u
-}
-
-// surchargedUtil is the threshold policy's view: every resident's C
-// inflated by the surcharge.
-func (o *Online) surchargedUtil(q int) float64 {
-	u := 0.0
-	for _, r := range o.procs[q] {
-		u += float64(r.sub.C+o.surcharge) / float64(r.sub.T)
-	}
-	return u
+	o.util[q] = u
 }
 
 // Residents returns a copy of processor q's resident subtasks in priority
@@ -184,8 +180,9 @@ func (o *Online) Admit(t task.Task) (Placement, error) {
 		}
 		u := float64(t.C+s) / float64(t.T)
 		for q := 0; q < o.m; q++ {
-			if o.surchargedUtil(q)+u <= bounds.LL(len(o.procs[q])+1)+utilEps {
-				return o.place(q, prio, t), nil
+			// The mirror's utilization is the surcharged view.
+			if o.states[q].Utilization()+u <= bounds.LL(len(o.procs[q])+1)+utilEps {
+				return o.place(q, prio, t, false), nil
 			}
 		}
 		return o.reject(CauseThresholdExhausted,
@@ -193,8 +190,8 @@ func (o *Online) Admit(t task.Task) (Placement, error) {
 	}
 
 	for _, q := range o.candidates() {
-		if d >= t.C+s && (prefilterAdmit(&o.states[q], prio, t.C, d) || o.states[q].AdmitAt(prio, t.C, t.T, d)) {
-			return o.place(q, prio, t), nil
+		if ok, pre := probeRTA(&o.states[q], prio, t.C, t.T, d); ok {
+			return o.place(q, prio, t, !pre), nil
 		}
 	}
 	return o.reject(CauseRTADeadlineMiss,
@@ -207,7 +204,6 @@ func (o *Online) Admit(t task.Task) (Placement, error) {
 func (o *Online) candidates() []int {
 	if cap(o.order) < o.m {
 		o.order = make([]int, o.m)
-		o.utils = make([]float64, o.m)
 	}
 	out := o.order[:o.m]
 	for q := range out {
@@ -216,10 +212,7 @@ func (o *Online) candidates() []int {
 	if o.policy != OnlineRTAWorstFit {
 		return out
 	}
-	utils := o.utils[:o.m]
-	for q := range utils {
-		utils[q] = o.Utilization(q)
-	}
+	utils := o.util
 	for i := 1; i < len(out); i++ {
 		q := out[i]
 		u := utils[q]
@@ -233,13 +226,23 @@ func (o *Online) candidates() []int {
 	return out
 }
 
-func (o *Online) place(q, prio int, t task.Task) Placement {
+// place commits an admitted t to processor q. staged reports that exact
+// RTA (AdmitAt) admitted it: the probe already converged the candidate's
+// fixed point and install's Insert adopted it, so the response is read from
+// the mirror. A prefilter or threshold admission ran no fixed point, so the
+// response is computed here.
+func (o *Online) place(q, prio int, t task.Task, staged bool) Placement {
 	d := t.Deadline()
 	sub := task.Subtask{TaskIndex: prio, Part: 1, C: t.C, T: t.T, Deadline: d, Offset: t.T - d, Tail: true}
 	o.nextH++
 	h := o.nextH
 	pos := o.install(q, h, sub)
-	r, _ := o.states[q].ResponseAt(pos, d)
+	var r task.Time
+	if staged {
+		r = o.states[q].Response(pos)
+	} else {
+		r, _ = o.states[q].ResponseAt(pos, d)
+	}
 	return Placement{Handle: h, Proc: q, Response: r}
 }
 
@@ -252,6 +255,7 @@ func (o *Online) install(q int, h uint64, sub task.Subtask) int {
 	o.procs[q] = append(o.procs[q], onlineResident{})
 	copy(o.procs[q][pos+1:], o.procs[q][pos:])
 	o.procs[q][pos] = onlineResident{handle: h, sub: sub}
+	o.resum(q)
 	o.loc[h] = q
 	return pos
 }
@@ -399,6 +403,7 @@ func (o *Online) Remove(handle uint64) bool {
 	}
 	o.states[q].Remove(pos)
 	o.procs[q] = append(list[:pos], list[pos+1:]...)
+	o.resum(q)
 	delete(o.loc, handle)
 	return true
 }

@@ -141,6 +141,15 @@ func checkOnlineColdEquivalence(t *testing.T, o *Online, m *onlineModel, ctx str
 		if len(got) != len(want) {
 			t.Fatalf("%s: proc %d has %d residents, model %d", ctx, q, len(got), len(want))
 		}
+		// The cached utilizations (raw for worst-fit order and evidence,
+		// surcharged for the threshold policy and Overloaded) must be
+		// bit-identical to a fresh in-order sum.
+		if got, want := o.Utilization(q), m.util(q); got != want {
+			t.Fatalf("%s: proc %d cached utilization %v, fresh sum %v", ctx, q, got, want)
+		}
+		if got, want := o.states[q].Utilization(), m.surUtil(q); got != want {
+			t.Fatalf("%s: proc %d cached surcharged utilization %v, fresh sum %v", ctx, q, got, want)
+		}
 		sur := onlineSurView(want, m.s)
 		for i := range want {
 			if got[i] != want[i] {
@@ -222,6 +231,18 @@ func TestOnlineMatchesFromScratch(t *testing.T) {
 							}
 							model.place(wantQ, pl.Handle, tk)
 							live = append(live, pl.Handle)
+							// The reported response, read from the probe's
+							// staged fixed point or computed after a
+							// prefilter/threshold admission, must be cold RTA's.
+							list := model.list(wantQ)
+							for i, r := range model.procs[wantQ] {
+								if r.h != pl.Handle {
+									continue
+								}
+								if rc, _ := rta.SubtaskResponse(onlineSurView(list, s), i); pl.Response != rc {
+									t.Fatalf("%s: Admit(%s) reported response %d, cold RTA %d", ctx, tk, pl.Response, rc)
+								}
+							}
 						}
 					}
 					checkOnlineColdEquivalence(t, o, model, ctx)

@@ -32,6 +32,7 @@ var (
 	cProcFull       = obs.NewCounter("partition.proc_full")
 	cPreAssign      = obs.NewCounter("partition.preassign")
 	cWindowSplits   = obs.NewCounter("partition.edf.window_splits")
+	cOverloadSkips  = obs.NewCounter("partition.overload.skips")
 )
 
 // traceIters samples the global RTA iteration total for decision traces;
@@ -121,6 +122,38 @@ func wholeFragment(idx int, t task.Task) fragment {
 // deadline returns the fragment's synthetic deadline Δ = T − offset.
 func (f fragment) deadline(t task.Task) task.Time { return t.T - f.offset }
 
+// probeRTA is the exact-RTA admission probe of every RTA placement (the
+// batch packers and Online): may a candidate of raw execution c, period t
+// and synthetic deadline d join processor ps at priority index prio? The
+// cheap tests run first and each decides only what exact RTA would decide
+// the same way, so the verdict is always exact RTA's:
+//
+//   - d < c+Surcharge: the surcharged candidate misses even alone;
+//   - ps.Overloaded: U_q + u > 1, which no uniprocessor schedule survives
+//     (counted as partition.overload.skips; the density prefilter cannot
+//     succeed there either, since every density is at least the matching
+//     utilization);
+//   - the sufficient density prefilter, whose miss means "unknown" and
+//     falls through (see prefilter.go);
+//   - ps.AdmitAt, the exact test.
+//
+// pre reports an admission proved by the prefilter, with no fixed point run.
+func probeRTA(ps *rta.ProcState, prio int, c, t, d task.Time) (ok, pre bool) {
+	if d < c+ps.Surcharge {
+		return false, false
+	}
+	if ps.Overloaded(c, t) {
+		if obs.On() {
+			cOverloadSkips.Inc()
+		}
+		return false, false
+	}
+	if prefilterAdmit(ps, prio, c, d) {
+		return true, true
+	}
+	return ps.AdmitAt(prio, c, t, d), false
+}
+
 // assignOrSplit implements the Assign routine of §IV-A on processor q:
 // place the fragment entirely if exact RTA admits it; otherwise assign the
 // maximal prefix MaxSplit finds (possibly empty) and report the processor
@@ -129,8 +162,8 @@ func (f fragment) deadline(t task.Task) task.Time { return t.T - f.offset }
 //
 // All analysis runs on the processor's incremental state ps — the warm-
 // start response cache and reused interference mirror of internal/rta —
-// which must shadow asg.Procs[q] exactly (every Add here is paired with an
-// Insert). ps.Surcharge carries the per-fragment overhead surcharge (see
+// which must shadow the arena's assignment of q exactly (every add here is
+// paired with an Insert). ps.Surcharge carries the per-fragment overhead surcharge (see
 // overhead.go); zero reproduces the paper's zero-overhead analysis.
 //
 // The new fragment is inserted at its RM priority position. In RM-TS/light
@@ -139,7 +172,7 @@ func (f fragment) deadline(t task.Task) task.Time { return t.T - f.offset }
 // pre-assigned task may outrank it, which the general-position analysis
 // handles, and the synthetic deadline of the next fragment is then advanced
 // by the body's actual response time R rather than C (equation (1)).
-func assignOrSplit(asg *task.Assignment, ps *rta.ProcState, q int, f fragment, ts task.Set, tr *obs.Trace) (placed bool, rem fragment, full bool) {
+func assignOrSplit(ar *Arena, ps *rta.ProcState, q int, f fragment, ts task.Set, tr *obs.Trace) (placed bool, rem fragment, full bool) {
 	t := ts[f.idx]
 	d := f.deadline(t)
 	s := ps.Surcharge
@@ -154,15 +187,12 @@ func assignOrSplit(asg *task.Assignment, ps *rta.ProcState, q int, f fragment, t
 		}
 		tr.Add(ev)
 	}
-	// The closed-form density prefilter proves the common lightly-loaded
-	// admission without any fixed point; a miss is "unknown", not "no", and
-	// falls through to the exact probe (see prefilter.go).
-	if d >= f.remC+s && (prefilterAdmit(ps, f.idx, f.remC, d) || ps.AdmitAt(f.idx, f.remC, t.T, d)) {
+	if ok, _ := probeRTA(ps, f.idx, f.remC, t.T, d); ok {
 		sub := task.Subtask{
 			TaskIndex: f.idx, Part: f.part, C: f.remC, T: t.T,
 			Deadline: d, Offset: f.offset, Tail: true,
 		}
-		asg.Add(q, sub)
+		ar.add(q, sub)
 		ps.Insert(sub)
 		cAssignWhole.Inc()
 		if tr != nil {
@@ -183,7 +213,7 @@ func assignOrSplit(asg *task.Assignment, ps *rta.ProcState, q int, f fragment, t
 			TaskIndex: f.idx, Part: f.part, C: portion, T: t.T,
 			Deadline: d, Offset: f.offset, Tail: false,
 		}
-		asg.Add(q, body)
+		ar.add(q, body)
 		pos := ps.Insert(body)
 		r, ok := ps.ResponseAt(pos, d)
 		if !ok {
@@ -213,16 +243,16 @@ func assignOrSplit(asg *task.Assignment, ps *rta.ProcState, q int, f fragment, t
 }
 
 // minUtilProcessor returns the index of the processor with the smallest
-// assigned utilization among those with eligible[q] && !full[q], or -1.
-// Ties break towards the lowest index, making the packing deterministic.
-func minUtilProcessor(asg *task.Assignment, eligible, full []bool) int {
+// assigned utilization (util, the arena's per-processor cache) among those
+// with eligible[q] && !full[q], or -1. Ties break towards the lowest index,
+// making the packing deterministic.
+func minUtilProcessor(util []float64, eligible, full []bool) int {
 	best := -1
 	bestU := 0.0
-	for q := range asg.Procs {
+	for q, u := range util {
 		if (eligible != nil && !eligible[q]) || full[q] {
 			continue
 		}
-		u := asg.Utilization(q)
 		if best == -1 || u < bestU {
 			best, bestU = q, u
 		}

@@ -41,7 +41,7 @@ func (a RMTSLight) PartitionArena(ts task.Set, m int, ar *Arena) *Result {
 	if ar == nil {
 		ar = new(Arena)
 	}
-	sorted, asg, fail := ar.prepare(ts, m)
+	sorted, _, fail := ar.prepare(ts, m)
 	if fail != nil {
 		return fail
 	}
@@ -59,14 +59,14 @@ func (a RMTSLight) PartitionArena(ts task.Set, m int, ar *Arena) *Result {
 	for i := len(sorted) - 1; i >= 0; i-- {
 		f := wholeFragment(i, sorted[i])
 		for {
-			q := minUtilProcessor(asg, nil, full)
+			q := minUtilProcessor(ar.util, nil, full)
 			if q < 0 {
 				failWith(res, CauseMaxSplitExhausted, i,
 					"all processors full while assigning τ"+strconv.Itoa(i))
 				traceFail(tr, i, res.Reason)
 				return res
 			}
-			placed, rem, becameFull := assignOrSplit(asg, &states[q], q, f, sorted, tr)
+			placed, rem, becameFull := assignOrSplit(ar, &states[q], q, f, sorted, tr)
 			if becameFull {
 				full[q] = true
 			}
@@ -216,7 +216,7 @@ func (a *RMTS) PartitionArena(ts task.Set, m int, ar *Arena) *Result {
 					break
 				}
 			}
-			asg.Add(q, task.Whole(i, sorted[i]))
+			ar.add(q, task.Whole(i, sorted[i]))
 			states[q].Insert(task.Whole(i, sorted[i]))
 			asg.PreAssigned[q] = i
 			normal[q] = false
@@ -256,7 +256,7 @@ func (a *RMTS) PartitionArena(ts task.Set, m int, ar *Arena) *Result {
 				return false, f.part
 			}
 			q := preProcs[nextPre]
-			placed, rem, becameFull := assignOrSplit(asg, &states[q], q, f, sorted, tr)
+			placed, rem, becameFull := assignOrSplit(ar, &states[q], q, f, sorted, tr)
 			if becameFull {
 				full[q] = true
 			}
@@ -274,12 +274,12 @@ func (a *RMTS) PartitionArena(ts task.Set, m int, ar *Arena) *Result {
 		f := wholeFragment(i, sorted[i])
 		carried := false
 		for {
-			q := minUtilProcessor(asg, normal, full)
+			q := minUtilProcessor(ar.util, normal, full)
 			if q < 0 {
 				carried = true
 				break
 			}
-			placed, rem, becameFull := assignOrSplit(asg, &states[q], q, f, sorted, tr)
+			placed, rem, becameFull := assignOrSplit(ar, &states[q], q, f, sorted, tr)
 			if becameFull {
 				full[q] = true
 			}

@@ -61,14 +61,14 @@ func (a SPA1) PartitionArena(ts task.Set, m int, ar *Arena) *Result {
 	for i := len(sorted) - 1; i >= 0; i-- {
 		f := wholeFragment(i, sorted[i])
 		for {
-			q := minUtilProcessor(asg, nil, full)
+			q := minUtilProcessor(ar.util, nil, full)
 			if q < 0 {
 				failWith(res, CauseThresholdExhausted, i,
 					"all processors at the Θ threshold while assigning τ"+strconv.Itoa(i))
 				traceFail(tr, i, res.Reason)
 				return res
 			}
-			placed, rem, becameFull := thresholdAssign(asg, q, f, sorted, theta, tr)
+			placed, rem, becameFull := thresholdAssign(ar, q, f, sorted, theta, tr)
 			if becameFull {
 				full[q] = true
 			}
@@ -94,7 +94,7 @@ func (a SPA1) PartitionArena(ts task.Set, m int, ar *Arena) *Result {
 // exactly the utilization that fills the processor to the threshold.
 // Synthetic deadlines use the C-based bookkeeping of [16] (body subtasks
 // have the highest priority on their hosts in SPA1/SPA2, so R = C).
-func thresholdAssign(asg *task.Assignment, q int, f fragment, ts task.Set, threshold float64, tr *obs.Trace) (placed bool, rem fragment, fullQ bool) {
+func thresholdAssign(ar *Arena, q int, f fragment, ts task.Set, threshold float64, tr *obs.Trace) (placed bool, rem fragment, fullQ bool) {
 	t := ts[f.idx]
 	d := f.deadline(t)
 	cAssignAttempts.Inc()
@@ -102,10 +102,10 @@ func thresholdAssign(asg *task.Assignment, q int, f fragment, ts task.Set, thres
 		tr.Add(obs.Event{Kind: obs.EvAssignAttempt, Task: f.idx, Part: f.part, Proc: q,
 			C: f.remC, T: t.T, Deadline: d, Note: "threshold admission"})
 	}
-	room := threshold - asg.Utilization(q)
+	room := threshold - ar.util[q]
 	u := float64(f.remC) / float64(t.T)
 	if u <= room+utilEps && f.remC <= d {
-		asg.Add(q, task.Subtask{
+		ar.add(q, task.Subtask{
 			TaskIndex: f.idx, Part: f.part, C: f.remC, T: t.T,
 			Deadline: d, Offset: f.offset, Tail: true,
 		})
@@ -125,7 +125,7 @@ func thresholdAssign(asg *task.Assignment, q int, f fragment, ts task.Set, thres
 		portion = d
 	}
 	if portion > 0 {
-		asg.Add(q, task.Subtask{
+		ar.add(q, task.Subtask{
 			TaskIndex: f.idx, Part: f.part, C: portion, T: t.T,
 			Deadline: d, Offset: f.offset, Tail: false,
 		})
@@ -215,7 +215,7 @@ func (a SPA2) PartitionArena(ts task.Set, m int, ar *Arena) *Result {
 					break
 				}
 			}
-			asg.Add(q, task.Whole(i, sorted[i]))
+			ar.add(q, task.Whole(i, sorted[i]))
 			asg.PreAssigned[q] = i
 			normal[q] = false
 			preProcs = append(preProcs, q)
@@ -243,12 +243,12 @@ func (a SPA2) PartitionArena(ts task.Set, m int, ar *Arena) *Result {
 		f := wholeFragment(i, sorted[i])
 		placedWhole := false
 		for !placedWhole {
-			q := minUtilProcessor(asg, normal, full)
+			q := minUtilProcessor(ar.util, normal, full)
 			if q < 0 {
 				break
 			}
 			var becameFull bool
-			placedWhole, f, becameFull = spaStep(asg, q, f, sorted, theta, tr)
+			placedWhole, f, becameFull = spaStep(ar, q, f, sorted, theta, tr)
 			if becameFull {
 				full[q] = true
 			}
@@ -269,7 +269,7 @@ func (a SPA2) PartitionArena(ts task.Set, m int, ar *Arena) *Result {
 			}
 			q := preProcs[nextPre]
 			var becameFull bool
-			placedWhole, f, becameFull = spaStep(asg, q, f, sorted, theta, tr)
+			placedWhole, f, becameFull = spaStep(ar, q, f, sorted, theta, tr)
 			if becameFull {
 				full[q] = true
 			}
@@ -284,8 +284,8 @@ func (a SPA2) PartitionArena(ts task.Set, m int, ar *Arena) *Result {
 	return res
 }
 
-func spaStep(asg *task.Assignment, q int, f fragment, ts task.Set, theta float64, tr *obs.Trace) (bool, fragment, bool) {
-	placed, rem, becameFull := thresholdAssign(asg, q, f, ts, theta, tr)
+func spaStep(ar *Arena, q int, f fragment, ts task.Set, theta float64, tr *obs.Trace) (bool, fragment, bool) {
+	placed, rem, becameFull := thresholdAssign(ar, q, f, ts, theta, tr)
 	if placed {
 		return true, f, becameFull
 	}

@@ -80,8 +80,9 @@ type ProcState struct {
 	// reproduces the paper's zero-overhead analysis.
 	Surcharge task.Time
 
-	idx []int      // resident TaskIndex, priority order
-	b   BatchState // SoA mirror: (C+Surcharge, T, deadline, cached response)
+	idx  []int      // resident TaskIndex, priority order
+	b    BatchState // SoA mirror: (C+Surcharge, T, deadline, cached response)
+	util float64    // Σ (C+Surcharge)/T, re-summed in priority order per mutation
 
 	// Probe scratch: the post-insert view of one AdmitAt probe — residents
 	// with the candidate spliced in at its priority position — so the whole
@@ -137,7 +138,35 @@ func (ps *ProcState) Reset(surcharge task.Time) {
 	ps.Surcharge = surcharge
 	ps.idx = ps.idx[:0]
 	ps.b.reset()
+	ps.util = 0
 	ps.stagedValid = false
+}
+
+// Utilization returns the mirrored residents' surcharged utilization
+// Σ (C_k+Surcharge)/T_k. It is cached: Insert and Remove re-sum it in
+// priority order (never add or subtract a delta, which would drift from a
+// fresh sum by rounding), so every read is O(1) and bit-identical to
+// summing the residents afresh.
+func (ps *ProcState) Utilization() float64 { return ps.util }
+
+// resum recomputes the cached utilization after a mutation.
+func (ps *ProcState) resum() {
+	u := 0.0
+	for i, c := range ps.b.cs {
+		u += float64(c) / float64(ps.b.ts[i])
+	}
+	ps.util = u
+}
+
+// Overloaded reports whether inserting a load of raw execution c and
+// period t would push the processor's surcharged utilization above 1. Exact
+// RTA rejects every such insertion: the lowest-priority subtask k of the
+// post-insert processor has R_k ≥ C_k + R_k·U_hp, so R_k ≤ Δ_k ≤ T_k would
+// force U ≤ 1 (DESIGN.md §13). The 1e-9 margin keeps float rounding of the
+// sum, far smaller for ratios of int64s, from pruning an insertion whose
+// exact utilization is at most 1.
+func (ps *ProcState) Overloaded(c, t task.Time) bool {
+	return ps.util+float64(c+ps.Surcharge)/float64(t) > 1+1e-9
 }
 
 // Len returns the number of mirrored residents.
@@ -174,6 +203,7 @@ func (ps *ProcState) Insert(s task.Subtask) int {
 		ps.b.resp = insertTime(ps.b.resp, pos, 0)
 	}
 	ps.stagedValid = false
+	ps.resum()
 	return pos
 }
 
@@ -192,15 +222,19 @@ func (ps *ProcState) Insert(s task.Subtask) int {
 // disabled every resident is re-analysed from a cold start, reproducing
 // the from-scratch path. Both modes return identical verdicts.
 //
-// The probe materializes the post-insert view once — candidate spliced into
+// An Overloaded insertion is rejected before any of that work. Otherwise
+// the probe materializes the post-insert view once — candidate spliced into
 // the scratch arrays (pcs, pts) at pos — so position k's interferers are
 // plain prefixes and one batchSafe precheck over the whole view licenses
 // the unchecked kernel for every fixed point of the probe.
 func (ps *ProcState) AdmitAt(prio int, c, t, d task.Time) bool {
+	ps.stagedValid = false
+	if ps.Overloaded(c, t) {
+		return false
+	}
 	cand := c + ps.Surcharge
 	pos := ps.PosFor(prio)
 	warm := WarmStartEnabled()
-	ps.stagedValid = false
 	n := ps.b.len()
 	if cap(ps.staged) < n+1 {
 		ps.staged = make([]task.Time, n+1)
@@ -316,6 +350,7 @@ func (ps *ProcState) Remove(pos int) {
 	// Staged probe responses include the departed resident's interference
 	// (or were positioned relative to it); either way they are stale.
 	ps.stagedValid = false
+	ps.resum()
 }
 
 // TaskAt returns the priority key (task index) of resident pos.
@@ -414,6 +449,13 @@ func (ps *ProcState) DensityProbe(prio int, c, d task.Time) (prod float64, dmOK 
 	}
 	return prod, true
 }
+
+// Response returns the cached response time of resident pos: its converged
+// fixed point, or 0 while unknown (inserted without adopted staging, or
+// invalidated by a removal at a higher priority). Right after an Insert
+// that adopted a successful AdmitAt probe's staging, every entry is the
+// exact converged response of the post-insert processor.
+func (ps *ProcState) Response(pos int) task.Time { return ps.b.resp[pos] }
 
 // Deadline returns the synthetic deadline of resident pos.
 func (ps *ProcState) Deadline(pos int) task.Time { return ps.b.dls[pos] }
