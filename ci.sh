@@ -68,6 +68,11 @@ fast_off=$(mktemp /tmp/ci-fast-off.XXXXXX.txt)
 go run ./cmd/experiments -run acceptance-general -quick -sets 50 -q > "$fast_on"
 go run ./cmd/experiments -run acceptance-general -quick -sets 50 -q -prefilter=false -crossscale=false > "$fast_off"
 cmp "$fast_on" "$fast_off"
+# Breakdown with the cross-scale memo and the RM-TS → RM-TS/light verdict
+# reuse off bisects every algorithm on its own.
+go run ./cmd/experiments -run breakdown -sets 100 -q > "$fast_on"
+go run ./cmd/experiments -run breakdown -sets 100 -q -crossscale=false > "$fast_off"
+cmp "$fast_on" "$fast_off"
 rm -f "$fast_on" "$fast_off"
 
 echo "== paranoid quick table (full invariant re-validation of every partitioning) =="

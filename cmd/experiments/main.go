@@ -90,7 +90,7 @@ func run() int {
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		rtacache   = flag.Bool("rtacache", true, "warm-start RTA caching in the partitioners (tables are identical either way; disable to cross-check or to measure the saving)")
 		prefilter  = flag.Bool("prefilter", true, "sufficient utilization-bound admission prefilter (tables are identical either way; disable to cross-check or to measure the skipped RTA work)")
-		crossscale = flag.Bool("crossscale", true, "cross-scale verdict and response reuse in the breakdown bisections (tables are identical either way; disable to cross-check or to measure the saving)")
+		crossscale = flag.Bool("crossscale", true, "cross-scale verdict and response reuse and RM-TS → RM-TS/light verdict reuse in the breakdown bisections (tables are identical either way; disable to cross-check or to measure the saving)")
 		reuse      = flag.Bool("reuse", true, "per-worker scratch reuse (generation buffers, partitioning arenas, RNGs); tables are identical either way; disable to cross-check or to measure the allocation saving")
 		timeout    = flag.Duration("timeout", 0, "overall wall-clock deadline for the run (0 = none); on expiry workers drain and completed sweep rows are still printed")
 		checkpoint = flag.String("checkpoint", "", "write completed sweep points to this file (atomic temp+rename after every point)")

@@ -60,11 +60,7 @@ func Breakdown(cfg Config) ([]Table, error) {
 				errs[s] = err
 				return
 			}
-			row := make([]float64, len(algos))
-			for i, a := range algos {
-				row[i] = breakdownOf(ws, a.alg, shape, m)
-			}
-			perSet[s] = row
+			perSet[s] = breakdownRow(ws, algos, shape, m)
 		})
 		if parErr != nil {
 			return nil, fmt.Errorf("breakdown: %w", parErr)
@@ -88,6 +84,20 @@ func Breakdown(cfg Config) ([]Table, error) {
 	return []Table{t}, nil
 }
 
+// breakdownRow returns the breakdown U_M of shape under each of algos, in
+// order. The shape's bisections share one record of RM-TS's verdicts on
+// the scaled sets it pre-assigned nothing in (see breakdownOf).
+func breakdownRow(ws *Workspace, algos []algoSpec, shape task.Set, m int) []float64 {
+	if ws != nil {
+		ws.noPre.reset()
+	}
+	row := make([]float64, len(algos))
+	for i, a := range algos {
+		row[i] = breakdownOf(ws, a.alg, shape, m)
+	}
+	return row
+}
+
 // breakdownOf bisects the largest scale λ ∈ (0, 1] at which alg accepts the
 // scaled shape (C_i ← max(1, round(λ·C_i))) and returns the achieved U_M.
 // Acceptance is not perfectly monotone in λ because of integer rounding and
@@ -99,14 +109,32 @@ func Breakdown(cfg Config) ([]Table, error) {
 // functions of (set, m), so identical vectors have identical verdicts. The
 // ≤13 probes of one bisection are memoized on the exact C-vector (the memo
 // is per-(shape, alg) call, so algorithm and m never mix); a hit skips the
-// whole partitioning run. Disabled by Config.NoCrossScale.
+// whole partitioning run.
+//
+// Cross-algorithm reuse: RM-TS on a set it pre-assigns nothing in runs
+// RM-TS/light's packing loop on the same sorted set, after the same input
+// and surcharge checks, so the two return the same verdict. RM-TS's
+// bisection records every scaled C-vector it partitioned with
+// NumPreAssigned == 0, and RM-TS/light's bisection of the same shape and m
+// answers a probe that misses its own memo from that record before
+// partitioning, memoizing the answer as its own. Both sides must run with
+// zero surcharge. The key is the exact C-vector, so no monotonicity in λ
+// is assumed.
+//
+// Both reuses are disabled by Config.NoCrossScale.
 func breakdownOf(ws *Workspace, alg partition.Algorithm, shape task.Set, m int) float64 {
 	n := len(shape)
 	scaled := make(task.Set, n)
 	memo := ws != nil && !ws.noCrossScale
+	var record, reuse bool
 	if memo {
-		ws.memoC = ws.memoC[:0]
-		ws.memoEnt = ws.memoEnt[:0]
+		ws.memo.reset()
+		switch a := alg.(type) {
+		case *partition.RMTS:
+			record = a.Surcharge == 0
+		case partition.RMTSLight:
+			reuse = a.Surcharge == 0
+		}
 	}
 	accepts := func(lambda float64) (bool, float64) {
 		for i, tk := range shape {
@@ -120,32 +148,33 @@ func breakdownOf(ws *Workspace, alg partition.Algorithm, shape task.Set, m int) 
 			scaled[i] = task.Task{Name: tk.Name, C: c, T: tk.T}
 		}
 		if memo {
-			for e := range ws.memoEnt {
-				key := ws.memoC[e*n : (e+1)*n]
-				hit := true
-				for i := range key {
-					if key[i] != scaled[i].C {
-						hit = false
-						break
-					}
+			if v, hit := ws.memo.find(scaled); hit {
+				if obs.On() {
+					cCrossScaleMemoHits.Inc()
 				}
-				if hit {
-					if obs.On() {
-						cCrossScaleMemoHits.Inc()
-					}
-					return ws.memoEnt[e].ok, ws.memoEnt[e].u
-				}
+				return v.ok, v.u
 			}
 		}
-		res := ws.Partition(alg, scaled, m)
-		ok, u := res.OK && res.Guaranteed, scaled.NormalizedUtilization(m)
+		var v verdict
+		reused := false
+		if reuse {
+			v, reused = ws.noPre.find(scaled)
+		}
+		if reused {
+			if obs.On() {
+				cBreakdownReused.Inc()
+			}
+		} else {
+			res := ws.Partition(alg, scaled, m)
+			v = verdict{ok: res.OK && res.Guaranteed, u: scaled.NormalizedUtilization(m)}
+			if record && res.NumPreAssigned == 0 {
+				ws.noPre.add(scaled, v)
+			}
+		}
 		if memo {
-			for i := range scaled {
-				ws.memoC = append(ws.memoC, scaled[i].C)
-			}
-			ws.memoEnt = append(ws.memoEnt, memoEntry{ok: ok, u: u})
+			ws.memo.add(scaled, v)
 		}
-		return ok, u
+		return v.ok, v.u
 	}
 	lo, hi := 0.0, 1.0
 	best := 0.0

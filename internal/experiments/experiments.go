@@ -66,10 +66,11 @@ type Config struct {
 	// cold path the reuse-off golden test compares against. Tables are
 	// byte-identical either way; only the allocation profile changes.
 	NoReuse bool
-	// NoCrossScale disables cross-scale result reuse in the breakdown
-	// bisections: the exact-C-vector verdict memo in breakdownOf and the
-	// warm-start response carry in uniBreakdown both fall back to evaluating
-	// every probe from scratch. Tables are byte-identical either way (the
+	// NoCrossScale disables cross-scale result reuse and verdict reuse in
+	// the breakdown bisections: the exact-C-vector verdict memo and the
+	// RM-TS → RM-TS/light verdict reuse in breakdownOf and the warm-start
+	// response carry in uniBreakdown all fall back to evaluating every
+	// probe from scratch. Tables are byte-identical either way (the
 	// cross-scale-off golden test pins it); only the work per probe changes.
 	NoCrossScale bool
 	// Checkpoint, when non-nil, persists each completed sweep point and
@@ -153,10 +154,13 @@ var cSamplePanics = obs.NewCounter("experiments.sample_panics")
 
 // Cross-scale reuse instrumentation: memo_hits counts breakdownOf probes
 // answered from the exact-C-vector memo without running the partitioner,
-// carries counts uniBreakdown probes evaluated with a warm response carry.
+// carries counts uniBreakdown probes evaluated with a warm response carry,
+// and reused_probes counts RM-TS/light breakdown probes answered from
+// RM-TS's verdict on the same scaled set.
 var (
 	cCrossScaleMemoHits = obs.NewCounter("experiments.crossscale.memo_hits")
 	cCrossScaleCarries  = obs.NewCounter("experiments.crossscale.carries")
+	cBreakdownReused    = obs.NewCounter("experiments.breakdown.reused_probes")
 )
 
 func (c Config) context() context.Context {

@@ -6,6 +6,10 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
+	"repro/internal/partition"
+	"repro/internal/task"
 )
 
 func quickCfg() Config {
@@ -97,12 +101,51 @@ func TestExperimentsDeterministic(t *testing.T) {
 
 func TestParallelDeterminism(t *testing.T) {
 	// The same seed must produce identical tables at any worker count.
-	for _, key := range []string{"acceptance-general", "fp-vs-edf"} {
+	for _, key := range []string{"acceptance-general", "fp-vs-edf", "breakdown"} {
 		e, _ := Find(key)
 		seq := render(mustRun(t, e, Config{Seed: 7, SetsPerPoint: 20, Quick: true, Workers: 1}))
 		par := render(mustRun(t, e, Config{Seed: 7, SetsPerPoint: 20, Quick: true, Workers: 8}))
 		if seq != par {
 			t.Errorf("%s: workers=1 and workers=8 disagree", key)
+		}
+	}
+}
+
+// TestBreakdownReuseNeedsNoPreAssignment pins where RM-TS/light's breakdown
+// bisection may take RM-TS's verdicts: on a light shape every probe that
+// misses its own memo is answered from RM-TS's, and on a shape whose heavy
+// task RM-TS pre-assigns at every scale it probes, none is, so RM-TS/light
+// keeps its own, different, breakdown. Each row must equal an independent
+// bisection without any reuse.
+func TestBreakdownReuseNeedsNoPreAssignment(t *testing.T) {
+	obs.SetEnabled(true)
+	defer obs.SetEnabled(false)
+	ws := getWorkspace(Config{})
+	defer putWorkspace(ws)
+	algos := []algoSpec{{"RM-TS", partition.NewRMTS(nil)}, {"RM-TS/light", partition.RMTSLight{}}}
+	for _, tc := range []struct {
+		name   string
+		shape  task.Set
+		reused bool
+	}{
+		{"light", task.Set{{Name: "a", C: 30, T: 100}, {Name: "b", C: 60, T: 200},
+			{Name: "c", C: 120, T: 300}, {Name: "d", C: 35, T: 100}, {Name: "e", C: 60, T: 150}}, true},
+		{"heavy pre-assigned", task.Set{{Name: "a", C: 95, T: 100}, {Name: "b", C: 41, T: 200},
+			{Name: "c", C: 260, T: 300}}, false},
+	} {
+		before := cBreakdownReused.Value()
+		row := breakdownRow(ws, algos, tc.shape, 2)
+		reused := cBreakdownReused.Value() - before
+		for i, a := range algos {
+			if want := breakdownOf(nil, a.alg, tc.shape, 2); row[i] != want {
+				t.Errorf("%s: %s breakdown %.4f, independent bisection %.4f", tc.name, a.name, row[i], want)
+			}
+		}
+		if tc.reused && (reused == 0 || row[0] != row[1]) {
+			t.Errorf("%s: %d probes reused, rows %.4f / %.4f; want reuse and equal rows", tc.name, reused, row[0], row[1])
+		}
+		if !tc.reused && (reused != 0 || row[0] == row[1]) {
+			t.Errorf("%s: %d probes reused, rows %.4f / %.4f; want no reuse and differing rows", tc.name, reused, row[0], row[1])
 		}
 	}
 }

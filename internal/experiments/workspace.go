@@ -30,9 +30,10 @@ type Workspace struct {
 	noReuse  bool
 	paranoid bool
 
-	// noCrossScale disables the cross-scale verdict and warm-start reuse in
-	// the breakdown bisections (Config.NoCrossScale) — the ablation knob the
-	// cross-scale-off golden test compares against.
+	// noCrossScale disables the verdict memo, the RM-TS → RM-TS/light
+	// verdict reuse and the warm-start carry in the breakdown bisections
+	// (Config.NoCrossScale) — the ablation knob the cross-scale-off golden
+	// test compares against.
 	noCrossScale bool
 	// carry is the breakdown bisections' cross-scale warm-start state: the
 	// converged responses of the last accepted scale of the CURRENT sample
@@ -42,17 +43,56 @@ type Workspace struct {
 	// 14-probe bisection reuses one pair instead of allocating per probe.
 	uniTS   task.Set
 	uniList []task.Subtask
-	// memoC/memoEnt memoize breakdownOf acceptance verdicts on the exact
-	// scaled C-vector (memoC holds the keys flattened n-at-a-time).
-	memoC   []task.Time
-	memoEnt []memoEntry
+	// memo holds the current breakdownOf bisection's verdicts; noPre holds
+	// RM-TS's verdicts on the current breakdown shape's scaled sets it
+	// pre-assigned nothing in, which RM-TS/light's bisection reuses.
+	memo, noPre verdictMemo
 }
 
-// memoEntry is one breakdownOf memo hit target: the verdict and achieved
-// utilization of the scaled set whose C-vector is memoC[i*n : (i+1)*n].
-type memoEntry struct {
+// verdictMemo maps exact scaled C-vectors to breakdownOf probe answers:
+// the answer to the set whose C-vector is keys[i*n : (i+1)*n] is ans[i].
+type verdictMemo struct {
+	keys []task.Time
+	ans  []verdict
+}
+
+// verdict is one breakdownOf probe answer: acceptance and the achieved
+// utilization of the scaled set.
+type verdict struct {
 	ok bool
 	u  float64
+}
+
+func (vm *verdictMemo) reset() {
+	vm.keys = vm.keys[:0]
+	vm.ans = vm.ans[:0]
+}
+
+// find returns the answer recorded for ts's C-vector, if any.
+func (vm *verdictMemo) find(ts task.Set) (verdict, bool) {
+	n := len(ts)
+	for e := range vm.ans {
+		key := vm.keys[e*n : (e+1)*n]
+		hit := true
+		for i := range key {
+			if key[i] != ts[i].C {
+				hit = false
+				break
+			}
+		}
+		if hit {
+			return vm.ans[e], true
+		}
+	}
+	return verdict{}, false
+}
+
+// add records v as the answer for ts's C-vector.
+func (vm *verdictMemo) add(ts task.Set, v verdict) {
+	for i := range ts {
+		vm.keys = append(vm.keys, ts[i].C)
+	}
+	vm.ans = append(vm.ans, v)
 }
 
 // Gen returns the workspace's generator scratch, or nil in no-reuse mode —

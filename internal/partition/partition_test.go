@@ -222,6 +222,68 @@ func TestRMTSPhase3GeneralPriorityInsert(t *testing.T) {
 	}
 }
 
+// TestRMTSWithoutPreAssignmentIsRMTSLight is the oracle for the breakdown
+// sweep's verdict reuse: RM-TS that pre-assigns nothing must return
+// RM-TS/light's whole Result (verdict, failure cause and reason, splits and
+// every processor's subtasks), with and without a surcharge and whatever
+// PUB drives its condition (8). The sets include heavy tasks that condition
+// (8) leaves to the packing, which is where the two could part.
+func TestRMTSWithoutPreAssignmentIsRMTSLight(t *testing.T) {
+	r := rand.New(rand.NewSource(14))
+	maxPUB := bounds.Max{Bounds: []bounds.PUB{
+		bounds.LiuLayland{}, bounds.HarmonicChain{Minimal: true}, bounds.TBound{}, bounds.RBound{},
+	}}
+	var arTS, arLight Arena
+	trials := 4000
+	if testing.Short() {
+		trials = 800
+	}
+	compared, heavy, failed := 0, 0, 0
+	for trial := 0; trial < trials; trial++ {
+		m := 2 + r.Intn(15)
+		target := float64(m) * (0.6 + 0.45*r.Float64())
+		var ts task.Set
+		var err error
+		if kind := r.Intn(4); kind < 3 {
+			ts, err = gen.TaskSet(r, gen.Config{TargetU: target, UMin: 0.05, UMax: []float64{0.40, 0.60, 0.95}[kind]})
+		} else {
+			// A few heavy tasks below Λ among many light ones: condition
+			// (8) then often fails for all of them.
+			ts, err = gen.MixedSet(r, gen.MixedConfig{TargetU: target, HeavyShare: 0.1,
+				HeavyMin: 0.42, HeavyMax: 0.68, LightMin: 0.05, LightMax: 0.4})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := task.Time(2 * r.Intn(2))
+		rmts := &RMTS{Surcharge: s}
+		if r.Intn(2) == 0 {
+			rmts.PUB = maxPUB
+		}
+		got := rmts.PartitionArena(ts, m, &arTS)
+		if got.NumPreAssigned != 0 {
+			continue
+		}
+		want := RMTSLight{Surcharge: s}.PartitionArena(ts, m, &arLight)
+		if g, w := resultFingerprint(got), resultFingerprint(want); g != w || got.Cause != want.Cause {
+			t.Fatalf("trial %d (m=%d, surcharge %d, PUB %v): RM-TS without pre-assignment diverged from RM-TS/light\n--- RM-TS (cause %v) ---\n%s--- RM-TS/light (cause %v) ---\n%s",
+				trial, m, s, rmts.PUB, got.Cause, g, want.Cause, w)
+		}
+		compared++
+		if !ts.IsLight(bounds.LightThresholdFor(len(ts))) {
+			heavy++
+		}
+		if !got.OK {
+			failed++
+		}
+	}
+	// The comparison must reach heavy sets RM-TS declined to pre-assign and
+	// both verdicts, or it checks nothing the light-only sweep does not.
+	if heavy < trials/40 || failed < trials/20 || compared-failed < trials/20 {
+		t.Fatalf("weak coverage: %d sets compared, %d with heavy tasks, %d rejected", compared, heavy, failed)
+	}
+}
+
 func TestSPA2AcceptsUpToLLBoundOnly(t *testing.T) {
 	// SPA2's Guaranteed flag caps at Θ(N) even when packing succeeds — the
 	// paper's critique of [16].

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/bounds"
 	"repro/internal/obs"
+	"repro/internal/rta"
 	"repro/internal/task"
 )
 
@@ -45,26 +46,58 @@ func (a RMTSLight) PartitionArena(ts task.Set, m int, ar *Arena) *Result {
 	if fail != nil {
 		return fail
 	}
-	full := boolBuf(&ar.full, m)
-	states := ar.procStates(m, a.Surcharge)
 	res := ar.result("")
-	tr := a.Trace
 	if i := surchargeFeasible(sorted, a.Surcharge); i >= 0 {
 		failWith(res, CauseSurchargeInfeasible, i,
 			"τ"+strconv.Itoa(i)+" cannot meet its deadline under the overhead surcharge (C+s > T)")
-		traceFail(tr, i, res.Reason)
+		traceFail(a.Trace, i, res.Reason)
 		return res
 	}
-	// Increasing priority order: lowest priority (largest index) first.
+	packWorstFit(ar, ar.procStates(m, a.Surcharge), sorted, nil, boolBuf(&ar.full, m), nil, res, a.Trace, nil)
+	return res
+}
+
+// packWorstFit is the packing loop of RM-TS/light and of RM-TS phases 2–3:
+// it assigns every task of sorted not marked in skip in increasing priority
+// order (lowest priority, largest index, first), each time onto the
+// eligible, non-full processor of least assigned utilization (worst fit;
+// nil eligible means all), splitting with MaxSplit when the fragment does
+// not fit whole. A fragment left over once no eligible processor remains
+// goes to overflow, which returns whether it placed it and the last
+// fragment it committed; a nil overflow places nothing.
+//
+// On success it sets res.OK and res.Guaranteed; otherwise it records the
+// failure in res (CausePreAssignExhausted when every processor hosts a
+// pre-assigned task, else CauseMaxSplitExhausted). Either way it traces the
+// terminal event. RM-TS/light is this loop with nothing skipped, every
+// processor eligible and no overflow, so RM-TS on a set it pre-assigns
+// nothing in computes exactly RM-TS/light's Result.
+func packWorstFit(ar *Arena, states []rta.ProcState, sorted task.Set, eligible, full, skip []bool,
+	res *Result, tr *obs.Trace, overflow func(i int, f fragment) (bool, fragment)) {
 	for i := len(sorted) - 1; i >= 0; i-- {
+		if skip != nil && skip[i] {
+			continue
+		}
 		f := wholeFragment(i, sorted[i])
 		for {
-			q := minUtilProcessor(ar.util, nil, full)
+			q := minUtilProcessor(ar.util, eligible, full)
 			if q < 0 {
-				failWith(res, CauseMaxSplitExhausted, i,
-					"all processors full while assigning τ"+strconv.Itoa(i))
-				traceFail(tr, i, res.Reason)
-				return res
+				placed := false
+				if overflow != nil {
+					placed, f = overflow(i, f)
+				}
+				if !placed {
+					cause := CauseMaxSplitExhausted
+					if res.NumPreAssigned == len(full) {
+						// Every processor hosts a pre-assigned heavy task; the
+						// packing never had a normal processor to work with.
+						cause = CausePreAssignExhausted
+					}
+					failWith(res, cause, i, "all processors full while assigning τ"+strconv.Itoa(i))
+					traceFail(tr, i, res.Reason)
+					return
+				}
+				break
 			}
 			placed, rem, becameFull := assignOrSplit(ar, &states[q], q, f, sorted, tr)
 			if becameFull {
@@ -75,6 +108,9 @@ func (a RMTSLight) PartitionArena(ts task.Set, m int, ar *Arena) *Result {
 			}
 			f = rem
 		}
+		// A fragment's part number increments exactly once per committed
+		// body, so the final placed fragment's part is the task's fragment
+		// count — the alloc-free equivalent of len(asg.Subtasks(i)) > 1.
 		if f.part > 1 {
 			res.NumSplit++
 		}
@@ -82,7 +118,6 @@ func (a RMTSLight) PartitionArena(ts task.Set, m int, ar *Arena) *Result {
 	res.OK = true
 	res.Guaranteed = true
 	traceDone(tr, res)
-	return res
 }
 
 // traceFail records a terminal failure event (no-op for nil traces).
@@ -237,23 +272,26 @@ func (a *RMTS) PartitionArena(ts task.Set, m int, ar *Arena) *Result {
 		}
 	}
 
-	// Phase 2: remaining tasks onto normal processors, exactly as
-	// RM-TS/light (increasing priority order, worst fit, split on
-	// overflow). A fragment that exhausts the normal processors carries
-	// over into phase 3 with its offset state intact.
+	// Phases 2–3: the remaining tasks onto the normal processors exactly as
+	// RM-TS/light; a fragment that exhausts them carries over, offset state
+	// intact, into phase 3, which fills the pre-assigned processors first
+	// fit from the one hosting the lowest-priority pre-assigned task
+	// (largest index).
 	tracePhase(tr, "phase 2: worst-fit packing on normal processors")
 	ar.preProcs = preProcs
 	nextPre := len(preProcs) - 1 // phase 3 cursor: largest index first
-	// phase3Assign places the carried fragment first-fit on the
-	// pre-assigned processors and reports the final committed fragment's
-	// part number (the task's total fragment count).
-	phase3Assign := func(f fragment) (bool, int) {
+	phase3Assign := func(i int, f fragment) (bool, fragment) {
+		if tr != nil {
+			// Format only when tracing: this line is on the hot partition
+			// path and the argument would otherwise be built per call.
+			tracePhase(tr, fmt.Sprintf("phase 3: τ%d overflows onto pre-assigned processors", i))
+		}
 		for {
 			for nextPre >= 0 && full[preProcs[nextPre]] {
 				nextPre--
 			}
 			if nextPre < 0 {
-				return false, f.part
+				return false, f
 			}
 			q := preProcs[nextPre]
 			placed, rem, becameFull := assignOrSplit(ar, &states[q], q, f, sorted, tr)
@@ -261,65 +299,11 @@ func (a *RMTS) PartitionArena(ts task.Set, m int, ar *Arena) *Result {
 				full[q] = true
 			}
 			if placed {
-				return true, f.part
+				return true, f
 			}
 			f = rem
 		}
 	}
-
-	for i := n - 1; i >= 0; i-- {
-		if pre[i] {
-			continue
-		}
-		f := wholeFragment(i, sorted[i])
-		carried := false
-		for {
-			q := minUtilProcessor(ar.util, normal, full)
-			if q < 0 {
-				carried = true
-				break
-			}
-			placed, rem, becameFull := assignOrSplit(ar, &states[q], q, f, sorted, tr)
-			if becameFull {
-				full[q] = true
-			}
-			if placed {
-				break
-			}
-			f = rem
-		}
-		// Phase 3: pre-assigned processors, first-fit from the processor
-		// hosting the lowest-priority pre-assigned task (largest index).
-		if carried {
-			if tr != nil {
-				// Format only when tracing: this line is on the hot partition
-				// path and the argument would otherwise be built per call.
-				tracePhase(tr, fmt.Sprintf("phase 3: τ%d overflows onto pre-assigned processors", i))
-			}
-			ok, finalPart := phase3Assign(f)
-			if !ok {
-				cause := CauseMaxSplitExhausted
-				if res.NumPreAssigned == m {
-					// Every processor hosts a pre-assigned heavy task; the
-					// packing never had a normal processor to work with.
-					cause = CausePreAssignExhausted
-				}
-				failWith(res, cause, i,
-					"all processors full while assigning τ"+strconv.Itoa(i))
-				traceFail(tr, i, res.Reason)
-				return res
-			}
-			f.part = finalPart
-		}
-		// A fragment's part number increments exactly once per committed
-		// body, so the final placed fragment's part is the task's fragment
-		// count — the alloc-free equivalent of len(asg.Subtasks(i)) > 1.
-		if f.part > 1 {
-			res.NumSplit++
-		}
-	}
-	res.OK = true
-	res.Guaranteed = true
-	traceDone(tr, res)
+	packWorstFit(ar, states, sorted, normal, full, pre, res, tr, phase3Assign)
 	return res
 }
